@@ -36,7 +36,7 @@ impl ActorLogic for DistWorker {
 /// Topology and engine knobs for one grid run.
 #[derive(Debug, Clone, Copy)]
 pub struct GridSpec {
-    /// Server nodes (one [`DistWorker`] actor each).
+    /// Server nodes (one `DistWorker` actor each).
     pub servers: usize,
     /// Closed-loop client nodes.
     pub clients: usize,

@@ -16,6 +16,9 @@ cargo test -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --no-deps --workspace (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 # Hard perf-regression gates: desbench wheel throughput vs BENCH_des.json,
 # the planetary scale scenario's events/s vs BENCH_scale.json, the
 # overload spike scenario's events/s vs BENCH_overload.json, the
@@ -96,6 +99,11 @@ echo "tcp-offload exports are byte-identical (same seed twice, 1 vs 4 shards)"
 # TCP delivery property sweep (mirrors the CI tcp-smoke job).
 echo "==> tcp exactly-once delivery proptests"
 cargo test -q --release --test properties tcp_delivery
+
+# The benchmark's drive loops must stay byte-identical to the library's
+# scenario drivers (mirrors the CI tcp-smoke job).
+echo "==> perfbench faithfulness tests"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 # DSE smoke (mirrors the CI dse-smoke job): the 16-design smoke grid's
 # canonical export must be byte-identical between a serial run and a
