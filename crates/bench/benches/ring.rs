@@ -47,59 +47,5 @@ fn bench_sg_ablation(c: &mut Criterion) {
     );
 }
 
-fn bench_host_pool(c: &mut Criterion) {
-    use ipipe::host_exec::{Bytes, HostPool, SharedRing};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    c.bench_function("host_pool_4threads_10k_tasks", |b| {
-        b.iter(|| {
-            let pool = HostPool::new(4);
-            let sink = Arc::new(AtomicU64::new(0));
-            for i in 0..10_000u64 {
-                let s = sink.clone();
-                pool.submit(
-                    Bytes::new(),
-                    Box::new(move |_| {
-                        s.fetch_add(i, Ordering::Relaxed);
-                    }),
-                );
-            }
-            pool.wait_for(10_000);
-            sink.load(Ordering::Relaxed)
-        })
-    });
-    c.bench_function("shared_ring_cross_thread_2k_msgs", |b| {
-        b.iter(|| {
-            let ring = SharedRing::new(256 * 1024);
-            let consumer_ring = ring.handle();
-            let consumer = std::thread::spawn(move || {
-                let mut got = 0;
-                while got < 2_000 {
-                    if consumer_ring.poll().is_some() {
-                        got += 1;
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-                got
-            });
-            let msg = [7u8; 64];
-            let mut sent = 0;
-            while sent < 2_000 {
-                if ring.push(&msg) {
-                    sent += 1;
-                }
-            }
-            consumer.join().unwrap()
-        })
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_ring_pushpop,
-    bench_sg_ablation,
-    bench_host_pool
-);
+criterion_group!(benches, bench_ring_pushpop, bench_sg_ablation);
 criterion_main!(benches);

@@ -2,7 +2,7 @@
 //! that must not change a single observable result, and byte-diff the
 //! exported metric snapshots.
 //!
-//! Three pure-mechanism axes exist in the DES, each introduced as a
+//! Four pure-mechanism axes exist in the DES, each introduced as a
 //! performance optimisation with an explicit "semantically invisible"
 //! contract:
 //!
@@ -10,7 +10,9 @@
 //!   ([`QueueKind`]),
 //! * batched event dispatch vs one-at-a-time dispatch,
 //! * the parallel sweep runner vs a serial sweep
-//!   ([`ipipe_sim::sweep::parallel_sweep`] with `workers = 1`).
+//!   ([`ipipe_sim::sweep::parallel_sweep`] with `workers = 1`),
+//! * event sharding, sequential or threaded, vs the serial engine — one
+//!   generic [`diff_sharded`] over every [`Scenario`].
 //!
 //! The unit/property suites already pin these at the data-structure level;
 //! the oracle closes the remaining gap by diffing *whole scenarios* — every
@@ -18,11 +20,8 @@
 //! in the stack (scheduler, rings, faults, Paxos) surfaces as a one-line
 //! mismatch instead of a subtly wrong figure.
 
-use crate::fault::{run_rkv_fault_sharded, run_rkv_fault_with};
-use crate::overload::run_rkv_overload_sharded;
-use crate::scale::run_rkv_scale_sharded;
-use crate::sharded::run_fig16_grid;
-use crate::tcp::run_tcp_offload_sharded;
+use crate::fault::FaultSpec;
+use crate::scenario::{run, Scenario};
 use ipipe_baseline::fig16::run_fig16_obs;
 use ipipe_nicsim::CN2350;
 use ipipe_sim::obs::Obs;
@@ -73,6 +72,17 @@ impl DiffOutcome {
         }
     }
 
+    /// Panic with the summary and the first divergence unless every
+    /// variant is byte-identical.
+    pub fn assert_identical(&self) {
+        assert!(
+            self.identical(),
+            "{}\nfirst divergence: {}",
+            self.render(),
+            self.first_divergence().unwrap_or_default()
+        );
+    }
+
     /// First differing line between the reference and the first divergent
     /// variant — enough to name the metric that broke, without dumping
     /// whole snapshots into a CI log.
@@ -94,8 +104,7 @@ impl DiffOutcome {
 
 /// Re-run the rkv-fault scenario (crash + restart + 1% loss + retries)
 /// under every {event queue} × {dispatch} combination and diff the metric
-/// snapshots. Each variant gets a fresh [`Obs`]; only the mechanism knobs
-/// vary.
+/// snapshots. Only the mechanism knobs vary.
 pub fn diff_rkv_fault(seed: u64) -> DiffOutcome {
     let variants = [
         ("wheel+batched", QueueKind::Wheel, false),
@@ -106,10 +115,13 @@ pub fn diff_rkv_fault(seed: u64) -> DiffOutcome {
     DiffOutcome {
         variants: variants
             .iter()
-            .map(|&(label, kind, unbatched)| {
-                let obs = Obs::default();
-                run_rkv_fault_with(seed, &obs, kind, unbatched);
-                (label.to_string(), obs.registry().snapshot().to_jsonl())
+            .map(|&(label, queue, unbatched)| {
+                let (_, c) = run(&FaultSpec {
+                    queue,
+                    unbatched,
+                    ..FaultSpec::new(seed, 1)
+                });
+                (label.to_string(), c.snapshot().to_jsonl())
             })
             .collect(),
     }
@@ -158,114 +170,24 @@ pub fn diff_fig16_parallel(requests: u64, seed: u64) -> DiffOutcome {
     }
 }
 
-/// Re-run the rkv-fault scenario under every shard count in {1, 2, 4, 8}
-/// (plus a threaded 4-shard epoch run) and diff the *canonical* cluster
-/// exports — merged metric snapshot, merged trace and meta line. The
-/// 1-shard serial engine is the reference; sharding is a pure execution
-/// mechanism and must not move a single byte.
-pub fn diff_sharded_rkv_fault(seed: u64) -> DiffOutcome {
-    let variants = [
-        ("1-shard", 1, false),
-        ("2-shard", 2, false),
-        ("4-shard", 4, false),
-        ("8-shard", 8, false),
-        ("4-shard-parallel", 4, true),
-    ];
+/// The sharding axis of the differential oracle: re-run the smoke-size
+/// scenario under every `(shards, threaded)` variant and diff the summary
+/// line plus canonical export. The first variant is the reference;
+/// sharding is a pure execution mechanism and must not move a single byte.
+pub fn diff_sharded<S: Scenario>(seed: u64, variants: &[(usize, bool)]) -> DiffOutcome {
     DiffOutcome {
         variants: variants
             .iter()
-            .map(|&(label, shards, parallel)| {
-                let (_, export) = run_rkv_fault_sharded(seed, shards, parallel);
-                (label.to_string(), export)
-            })
-            .collect(),
-    }
-}
-
-/// The sharding axis over the multi-group scale scenario at the CI smoke
-/// size (16 Paxos groups, 10^5 modeled users behind aggregated open-loop
-/// generators, hotspot rebalancing mid-run): every shard count in
-/// {1, 2, 4, 8} must reproduce the serial run's canonical export and
-/// headline counts byte-for-byte. No threaded variant: the multi-group
-/// wiring shares per-group `Rc` state across a group's replica nodes, so
-/// sharding is exercised single-threaded.
-pub fn diff_sharded_rkv_scale(seed: u64) -> DiffOutcome {
-    let variants = [
-        ("1-shard", 1),
-        ("2-shard", 2),
-        ("4-shard", 4),
-        ("8-shard", 8),
-    ];
-    DiffOutcome {
-        variants: variants
-            .iter()
-            .map(|&(label, shards)| {
-                let (stats, export) = run_rkv_scale_sharded(seed, shards, true);
-                (
-                    label.to_string(),
-                    format!(
-                        "issued {} done {} migrations {}\n{export}",
-                        stats.issued, stats.done, stats.migrations
-                    ),
-                )
-            })
-            .collect(),
-    }
-}
-
-/// The sharding axis over the overload scenario at the CI smoke size (16
-/// Paxos groups under a 10x open-loop spike and a per-node compaction
-/// storm, with NIC-ingress admission shedding): every shard count in
-/// {1, 2, 4, 8} must reproduce the serial run's canonical export and
-/// shed ledger byte-for-byte. Admission buckets are ingress-local state
-/// touched only by the owning shard's Deliver events, so sharding must be
-/// invisible here too. Single-threaded for the same `Rc`-sharing reason as
-/// [`diff_sharded_rkv_scale`].
-pub fn diff_sharded_rkv_overload(seed: u64) -> DiffOutcome {
-    let variants = [
-        ("1-shard", 1),
-        ("2-shard", 2),
-        ("4-shard", 4),
-        ("8-shard", 8),
-    ];
-    DiffOutcome {
-        variants: variants
-            .iter()
-            .map(|&(label, shards)| {
-                let (stats, export) = run_rkv_overload_sharded(seed, shards, true);
-                (
-                    label.to_string(),
-                    format!(
-                        "issued {} done {} shed {} ingress {}\n{export}",
-                        stats.issued, stats.done, stats.shed, stats.ingress_shed
-                    ),
-                )
-            })
-            .collect(),
-    }
-}
-
-/// The sharding axis over the TCP-offload scenario: four lossy connections
-/// (2% seeded frame loss, RTO-driven retransmission, out-of-order
-/// reassembly) at the CI smoke size must reproduce the serial run's
-/// canonical export and headline delivery/retransmit counts byte-for-byte
-/// under every shard count in {1, 2, 4}. Single-threaded like the other
-/// `Rc`-holding scenarios: the deployment keeps cloned metric handles for
-/// the quiesce audit.
-pub fn diff_sharded_tcp(seed: u64) -> DiffOutcome {
-    let variants = [("1-shard", 1), ("2-shard", 2), ("4-shard", 4)];
-    DiffOutcome {
-        variants: variants
-            .iter()
-            .map(|&(label, shards)| {
-                let (stats, export) = run_tcp_offload_sharded(seed, shards, true);
-                (
-                    label.to_string(),
-                    format!(
-                        "delivered {} retx {} rto {}\n{export}",
-                        stats.delivered, stats.retx_segs, stats.rto_fired
-                    ),
-                )
+            .map(|&(shards, threaded)| {
+                let mut spec = S::smoke(seed, shards);
+                if threaded {
+                    spec = spec.threaded();
+                }
+                let (stats, c) = run(&spec);
+                let label = format!("{shards}-shard{}", if threaded { "-parallel" } else { "" });
+                let export = c.export_canonical_jsonl();
+                let summary = spec.summary(&stats).unwrap_or_default();
+                (label, format!("{summary}\n{export}"))
             })
             .collect(),
     }
@@ -299,32 +221,13 @@ pub fn diff_dse_grid(seed: u64) -> DiffOutcome {
     }
 }
 
-/// The same sharding axis over the fig16-style whole-cluster grid (16
-/// servers + 4 clients, racked, bimodal service times, mid-run audit):
-/// every shard count must reproduce the serial run's canonical export and
-/// completion count byte-for-byte.
-pub fn diff_sharded_fig16_grid(seed: u64) -> DiffOutcome {
-    let variants = [
-        ("1-shard", 1, false),
-        ("2-shard", 2, false),
-        ("4-shard", 4, false),
-        ("8-shard", 8, false),
-        ("8-shard-parallel", 8, true),
-    ];
-    DiffOutcome {
-        variants: variants
-            .iter()
-            .map(|&(label, shards, parallel)| {
-                let (done, export) = run_fig16_grid(seed, shards, parallel);
-                (label.to_string(), format!("done {done}\n{export}"))
-            })
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overload::OverloadSpec;
+    use crate::scale::ScaleSpec;
+    use crate::sharded::GridSpec;
+    use crate::tcp::TcpOffloadSpec;
 
     /// The acceptance gate: the full fault scenario — crash, failover,
     /// retries, redirects — exports byte-identical metrics whichever event
@@ -333,12 +236,7 @@ mod tests {
     fn rkv_fault_is_mechanism_invariant() {
         let out = diff_rkv_fault(7);
         assert_eq!(out.variants.len(), 4);
-        assert!(
-            out.identical(),
-            "{}\nfirst divergence: {}",
-            out.render(),
-            out.first_divergence().unwrap_or_default()
-        );
+        out.assert_identical();
         // The snapshots carry real content, not trivially empty strings.
         assert!(out.variants[0].1.lines().count() > 20);
     }
@@ -349,12 +247,7 @@ mod tests {
     #[test]
     fn fig16_grid_is_schedule_invariant() {
         let out = diff_fig16_parallel(6_000, 3);
-        assert!(
-            out.identical(),
-            "{}\nfirst divergence: {}",
-            out.render(),
-            out.first_divergence().unwrap_or_default()
-        );
+        out.assert_identical();
     }
 
     /// The sharded engine's acceptance gate on the hardest scenario we have:
@@ -363,14 +256,12 @@ mod tests {
     /// threaded epochs.
     #[test]
     fn rkv_fault_is_shard_invariant() {
-        let out = diff_sharded_rkv_fault(7);
-        assert_eq!(out.variants.len(), 5);
-        assert!(
-            out.identical(),
-            "{}\nfirst divergence: {}",
-            out.render(),
-            out.first_divergence().unwrap_or_default()
+        let out = diff_sharded::<FaultSpec>(
+            7,
+            &[(1, false), (2, false), (4, false), (8, false), (4, true)],
         );
+        assert_eq!(out.variants.len(), 5);
+        out.assert_identical();
         assert!(out.variants[0].1.lines().count() > 20);
     }
 
@@ -379,14 +270,9 @@ mod tests {
     /// canonical export may not move a byte under 1/2/4/8 shards.
     #[test]
     fn rkv_scale_is_shard_invariant() {
-        let out = diff_sharded_rkv_scale(21);
+        let out = diff_sharded::<ScaleSpec>(21, &[(1, false), (2, false), (4, false), (8, false)]);
         assert_eq!(out.variants.len(), 4);
-        assert!(
-            out.identical(),
-            "{}\nfirst divergence: {}",
-            out.render(),
-            out.first_divergence().unwrap_or_default()
-        );
+        out.assert_identical();
         assert!(out.variants[0].1.lines().count() > 20);
     }
 
@@ -395,21 +281,16 @@ mod tests {
     /// move a byte under 1/2/4/8 shards.
     #[test]
     fn rkv_overload_is_shard_invariant() {
-        let out = diff_sharded_rkv_overload(31);
+        let out =
+            diff_sharded::<OverloadSpec>(31, &[(1, false), (2, false), (4, false), (8, false)]);
         assert_eq!(out.variants.len(), 4);
-        assert!(
-            out.identical(),
-            "{}\nfirst divergence: {}",
-            out.render(),
-            out.first_divergence().unwrap_or_default()
-        );
+        out.assert_identical();
         assert!(out.variants[0].1.lines().count() > 20);
         // The diff is only meaningful if the scenario actually shed work.
+        let summary = out.variants[0].1.lines().next().unwrap_or_default();
         assert!(
-            out.variants[0].1.starts_with("issued")
-                && !out.variants[0].1.contains("shed 0 ingress"),
-            "overload run shed nothing: {}",
-            out.variants[0].1.lines().next().unwrap_or_default()
+            summary.starts_with("rkv-overload:") && !summary.contains(", 0 shed"),
+            "overload run shed nothing: {summary}"
         );
     }
 
@@ -418,20 +299,15 @@ mod tests {
     /// canonical export under 1/2/4 shards.
     #[test]
     fn tcp_offload_is_shard_invariant() {
-        let out = diff_sharded_tcp(43);
+        let out = diff_sharded::<TcpOffloadSpec>(43, &[(1, false), (2, false), (4, false)]);
         assert_eq!(out.variants.len(), 3);
-        assert!(
-            out.identical(),
-            "{}\nfirst divergence: {}",
-            out.render(),
-            out.first_divergence().unwrap_or_default()
-        );
-        // The diff is only meaningful if loss actually bit: the headline
+        out.assert_identical();
+        // The diff is only meaningful if loss actually bit: the summary
         // line must show nonzero retransmissions.
+        let summary = out.variants[0].1.lines().next().unwrap_or_default();
         assert!(
-            out.variants[0].1.starts_with("delivered") && !out.variants[0].1.contains("retx 0 "),
-            "tcp run retransmitted nothing: {}",
-            out.variants[0].1.lines().next().unwrap_or_default()
+            summary.starts_with("tcp-offload:") && !summary.contains(", 0 segments retransmitted"),
+            "tcp run retransmitted nothing: {summary}"
         );
     }
 
@@ -439,13 +315,11 @@ mod tests {
     /// service times and a mid-run audit sweep.
     #[test]
     fn fig16_grid_is_shard_invariant() {
-        let out = diff_sharded_fig16_grid(3);
-        assert!(
-            out.identical(),
-            "{}\nfirst divergence: {}",
-            out.render(),
-            out.first_divergence().unwrap_or_default()
+        let out = diff_sharded::<GridSpec>(
+            3,
+            &[(1, false), (2, false), (4, false), (8, false), (8, true)],
         );
+        out.assert_identical();
     }
 
     /// The DSE acceptance gate: the tiny exploration grid — cluster cells,
@@ -456,12 +330,7 @@ mod tests {
     fn dse_grid_is_schedule_and_shard_invariant() {
         let out = diff_dse_grid(9);
         assert_eq!(out.variants.len(), 3);
-        assert!(
-            out.identical(),
-            "{}\nfirst divergence: {}",
-            out.render(),
-            out.first_divergence().unwrap_or_default()
-        );
+        out.assert_identical();
         // Real content: cell lines plus a non-trivial metric snapshot.
         assert!(out.variants[0].1.lines().count() > 20);
         assert!(out.variants[0].1.contains("== dse grid =="));

@@ -1,4 +1,4 @@
-//! The fault-recovery scenario behind `traceview --scenario rkv-fault`, the
+//! The fault-recovery scenario behind `bench --scenario rkv-fault`, the
 //! `fault_recovery` acceptance test and the CI determinism diff: a 3-replica
 //! RKV group under a seeded 1% packet loss plus one forced leader crash.
 //!
@@ -25,6 +25,8 @@ use ipipe_sim::QueueKind;
 use ipipe_sim::SimTime;
 use ipipe_workload::kv::KvOp;
 
+use crate::scenario::Scenario;
+
 /// Requests the closed-loop client keeps in flight.
 pub const OUTSTANDING: u32 = 32;
 
@@ -37,6 +39,36 @@ pub const RESTART_AT_MS: u64 = 10;
 /// Total simulated duration.
 pub const RUN_MS: u64 = 30;
 
+/// One fault-recovery run: the seed plus the pure-mechanism knobs. None of
+/// the knobs may change a single observable — the differential oracle
+/// re-runs the scenario across them and byte-diffs the exports.
+#[derive(Debug, Clone, Copy)]
+pub struct FaultSpec {
+    /// Master seed: fault draws, election timers and client flows.
+    pub seed: u64,
+    /// Event shards (clamped to the 4-node topology).
+    pub shards: usize,
+    /// Execute each epoch's shard slices on OS threads.
+    pub parallel: bool,
+    /// Event-queue implementation backing the DES.
+    pub queue: QueueKind,
+    /// Dispatch events one at a time instead of per-timestamp batches.
+    pub unbatched: bool,
+}
+
+impl FaultSpec {
+    /// The default mechanisms: timing wheel, batched, sequential shards.
+    pub fn new(seed: u64, shards: usize) -> FaultSpec {
+        FaultSpec {
+            seed,
+            shards,
+            parallel: false,
+            queue: QueueKind::default(),
+            unbatched: false,
+        }
+    }
+}
+
 /// Headline numbers from one fault-recovery run.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultRunStats {
@@ -48,6 +80,57 @@ pub struct FaultRunStats {
     pub issued: u64,
 }
 
+impl Scenario for FaultSpec {
+    type Stats = FaultRunStats;
+    const NAME: &'static str = "rkv-fault";
+    const SEED: u64 = 2;
+    const RATE_KEY: &'static str = "fault";
+    const JSON_SHARDS: &'static [usize] = &[2, 4, 8];
+
+    fn full(seed: u64, shards: usize) -> FaultSpec {
+        FaultSpec::new(seed, shards)
+    }
+
+    fn threaded(self) -> FaultSpec {
+        FaultSpec {
+            parallel: true,
+            ..self
+        }
+    }
+
+    fn build(&self, obs: &Obs) -> Cluster {
+        Cluster::builder(CN2350)
+            .servers(3)
+            .clients(1)
+            .mode(RuntimeMode::IPipe)
+            .seed(self.seed)
+            .obs(obs.clone())
+            .shards(self.shards)
+            .parallel(self.parallel)
+            .queue_kind(self.queue)
+            .unbatched_dispatch(self.unbatched)
+            .build()
+    }
+
+    fn drive(&self, c: &mut Cluster) -> FaultRunStats {
+        drive_rkv_fault(c, self.seed)
+    }
+
+    fn summary(&self, s: &FaultRunStats) -> Option<String> {
+        Some(format!(
+            "rkv-fault: {} writes committed ({} before the leader crash, {} issued)",
+            s.done, s.before_crash, s.issued
+        ))
+    }
+
+    fn bench_fields(&self, s: &FaultRunStats) -> String {
+        format!(
+            "\"before_crash\":{},\"done\":{},\"issued\":{}",
+            s.before_crash, s.done, s.issued
+        )
+    }
+}
+
 /// Deterministic write for a token: the client generator and the retry
 /// machinery's `payload_fn` must rebuild identical commands.
 fn put_for(token: u64) -> KvOp {
@@ -57,67 +140,6 @@ fn put_for(token: u64) -> KvOp {
         key,
         value: vec![0xAB; 32],
     }
-}
-
-/// Run the scenario; metrics and traces accumulate into `obs`.
-pub fn run_rkv_fault(seed: u64, obs: &Obs) -> FaultRunStats {
-    run_rkv_fault_with(seed, obs, QueueKind::default(), false)
-}
-
-/// [`run_rkv_fault`] with the pure-mechanism knobs exposed: which event-queue
-/// implementation backs the DES and whether dispatch is batched. Neither may
-/// change a single observable — the differential oracle re-runs the scenario
-/// across all combinations and byte-diffs the metric snapshots.
-pub fn run_rkv_fault_with(
-    seed: u64,
-    obs: &Obs,
-    queue_kind: QueueKind,
-    unbatched: bool,
-) -> FaultRunStats {
-    let mut c = Cluster::builder(CN2350)
-        .servers(3)
-        .clients(1)
-        .mode(RuntimeMode::IPipe)
-        .seed(seed)
-        .obs(obs.clone())
-        .queue_kind(queue_kind)
-        .unbatched_dispatch(unbatched)
-        .build();
-    drive_rkv_fault(&mut c, seed)
-}
-
-/// [`run_rkv_fault`] partitioned across `shards` event shards (clamped to the
-/// 4-node topology), optionally executing each epoch's shard slices on OS
-/// threads. Returns the headline stats plus the cluster's canonical merged
-/// export — metrics, trace and meta line — which must be byte-identical
-/// whatever the shard count or execution mode.
-pub fn run_rkv_fault_sharded(seed: u64, shards: usize, parallel: bool) -> (FaultRunStats, String) {
-    let mut c = Cluster::builder(CN2350)
-        .servers(3)
-        .clients(1)
-        .mode(RuntimeMode::IPipe)
-        .seed(seed)
-        .shards(shards)
-        .parallel(parallel)
-        .build();
-    let stats = drive_rkv_fault(&mut c, seed);
-    (stats, c.export_canonical_jsonl())
-}
-
-/// [`run_rkv_fault`] with the cluster handed back so callers (traceview's
-/// `--shards` path) can pull canonical merged exports; `obs` receives shard
-/// 0's records as usual.
-pub fn run_rkv_fault_traced(seed: u64, obs: &Obs, shards: usize) -> (FaultRunStats, Cluster) {
-    let mut c = Cluster::builder(CN2350)
-        .servers(3)
-        .clients(1)
-        .mode(RuntimeMode::IPipe)
-        .seed(seed)
-        .obs(obs.clone())
-        .shards(shards)
-        .build();
-    let stats = drive_rkv_fault(&mut c, seed);
-    (stats, c)
 }
 
 /// Everything after cluster construction: deploy the 3-replica RKV group,

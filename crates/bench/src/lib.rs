@@ -3,7 +3,9 @@
 //! EXPERIMENTS.md records paper-vs-measured values.
 //!
 //! Each `figN` function returns plain data so the Criterion benches, the
-//! binary and the integration tests can share one implementation.
+//! binary and the integration tests can share one implementation. The
+//! whole-cluster scenarios implement one [`scenario::Scenario`] trait,
+//! which the `bench` binary and the differential oracle drive.
 
 pub mod apps_harness;
 pub mod characterization;
@@ -13,7 +15,9 @@ pub mod evaluation;
 pub mod fault;
 pub mod overload;
 pub mod pareto;
+pub mod rkv;
 pub mod scale;
+pub mod scenario;
 pub mod sharded;
 pub mod tcp;
 

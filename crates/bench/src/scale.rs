@@ -1,5 +1,5 @@
-//! The planetary-scale scenario behind `traceview --scenario rkv-scale`,
-//! the `scalebench` figure and the CI `scale-smoke` lane: a ≥64-group
+//! The planetary-scale scenario behind `bench --scenario rkv-scale`, its
+//! committed figure (`BENCH_scale.json`) and the CI smoke matrix: a ≥64-group
 //! multi-Paxos keyspace serving the aggregated open-loop traffic of a
 //! million-plus modeled users, with hotspot-driven rebalancing.
 //!
@@ -21,6 +21,9 @@
 //!   more records under sharding), all workload draws are token-pure, and
 //!   rebalance decisions read shard-invariant counters at epoch barriers.
 //!
+//! The aggregated clients, their ledgers and the exactly-once fold live in
+//! [`OpenLoopClients`], shared with the overload scenario.
+//!
 //! [`RoutingTable`]: ipipe_apps::rkv::placement::RoutingTable
 //! [`Rebalancer`]: ipipe_apps::rkv::multi::Rebalancer
 //! [`audit_multi_rkv_exactly_once`]: ipipe_apps::rkv::multi::audit_multi_rkv_exactly_once
@@ -28,14 +31,17 @@
 use ipipe::rt::{ClientReq, Cluster, OpenLoopCfg, RetryPolicy, RuntimeMode};
 use ipipe_apps::rkv::actors::RkvMsg;
 use ipipe_apps::rkv::multi::{
-    audit_multi_rkv_exactly_once, deploy_multi_rkv, MultiRkvCfg, RebalanceCfg, Rebalancer,
+    audit_multi_rkv_exactly_once, deploy_multi_rkv, MultiRkv, MultiRkvCfg, RebalanceCfg, Rebalancer,
 };
 use ipipe_nicsim::CN2350;
-use ipipe_sim::audit::AuditReport;
+use ipipe_sim::audit::CLUSTER_WIDE;
+use ipipe_sim::obs::Obs;
 use ipipe_sim::SimTime;
 use ipipe_workload::agg::{aggregate_rate, AggKvStream};
 use std::cell::RefCell;
 use std::rc::Rc;
+
+use crate::scenario::{run, Scenario};
 
 /// Full parameterization of one scale run.
 #[derive(Debug, Clone, Copy)]
@@ -109,7 +115,7 @@ impl ScaleSpec {
         ScaleSpec::custom(seed, shards, 64, 1 << 20)
     }
 
-    /// The CI `scale-smoke` size: 16 groups, 10^5 modeled users.
+    /// The CI smoke size: 16 groups, 10^5 modeled users.
     pub fn smoke(seed: u64, shards: usize) -> ScaleSpec {
         ScaleSpec::custom(seed, shards, 16, 100_000)
     }
@@ -117,6 +123,169 @@ impl ScaleSpec {
     /// Total modeled users.
     pub fn users(&self) -> u64 {
         self.users_per_client * self.clients as u64
+    }
+
+    /// Aggregate open-loop rate of one source node (requests/second).
+    pub fn client_rate(&self) -> f64 {
+        aggregate_rate(self.users_per_client, self.per_user_rps)
+    }
+
+    /// The metrics-only cluster the multi-group scenarios run on.
+    pub(crate) fn cluster(&self) -> Cluster {
+        Cluster::builder(CN2350)
+            .servers(self.servers)
+            .clients(self.clients)
+            .mode(RuntimeMode::IPipe)
+            .seed(self.seed)
+            .shards(self.shards)
+            .build()
+    }
+
+    /// Deploy the Paxos groups over the server nodes.
+    pub fn deploy(&self, c: &mut Cluster) -> MultiRkv {
+        deploy_multi_rkv(
+            c,
+            &MultiRkvCfg {
+                groups: self.groups,
+                replicas: self.replicas,
+                server_nodes: self.servers,
+                buckets: self.buckets,
+                memtable_flush: 8 << 20,
+                heartbeat: None,
+                seed: self.seed,
+            },
+        )
+    }
+}
+
+/// The aggregated open-loop clients of a multi-group run: one generator per
+/// source node carrying its whole user population, each routing through
+/// its own copy of the versioned routing table (refreshed from Redirects),
+/// retrying token-purely, and counting its writes per group in a ledger.
+pub struct OpenLoopClients {
+    ledgers: Vec<Rc<RefCell<Vec<u64>>>>,
+}
+
+impl OpenLoopClients {
+    /// Install every client node's generator at the base rate until
+    /// `spec.run`, with its retry policy and route refresh.
+    pub fn install(c: &mut Cluster, spec: &ScaleSpec, dep: &MultiRkv) -> OpenLoopClients {
+        let stream = AggKvStream::new(
+            spec.seed ^ 0xA66,
+            spec.users_per_client,
+            spec.keys,
+            spec.skew,
+            spec.read_ratio,
+            spec.value_len,
+        );
+        let mut ledgers = Vec::new();
+        for cl in 0..spec.clients {
+            let table = Rc::new(RefCell::new(dep.table.clone()));
+            let ledger = Rc::new(RefCell::new(vec![0u64; spec.groups]));
+            ledgers.push(ledger.clone());
+            let gen_table = table.clone();
+            c.set_client_open_loop(
+                cl,
+                Box::new(move |rng, token| {
+                    let op = stream.op_for(token);
+                    let t = gen_table.borrow();
+                    let g = t.group_of(op.key());
+                    if !op.is_read() {
+                        ledger.borrow_mut()[g as usize] += 1;
+                    }
+                    ClientReq {
+                        dst: t.leader_of(g),
+                        wire_size: 42 + op.wire_size(),
+                        flow: rng.below(1 << 20),
+                        payload: Some(Box::new(RkvMsg::Client(op))),
+                    }
+                }),
+                OpenLoopCfg {
+                    rate_rps: spec.client_rate(),
+                    until: spec.run,
+                },
+            );
+            // Token-pure retransmission: the payload rebuilds from the
+            // stream, the destination comes from the (possibly refreshed)
+            // retry slot.
+            c.set_client_retry(
+                cl,
+                RetryPolicy {
+                    timeout: SimTime::from_us(500),
+                    cap: SimTime::from_ms(2),
+                    max_tries: 64,
+                },
+                Some(Box::new(move |token| {
+                    Some(Box::new(RkvMsg::Client(stream.op_for(token))))
+                })),
+            );
+            c.set_client_route_refresh(
+                cl,
+                Box::new(move |old, new| {
+                    table.borrow_mut().refresh(old, new);
+                }),
+            );
+        }
+        OpenLoopClients { ledgers }
+    }
+
+    /// Drain the in-flight tail — extra `window`s until the client ledger
+    /// settles, read at `run_for` barriers so the event stream is identical
+    /// at any shard count — then assert the cluster audit, the settled
+    /// ledger and per-group exactly-once over the folded write ledgers.
+    /// With `full_coverage` every request must complete and every counted
+    /// write apply; without it (under admission) a request may also end
+    /// shed or abandoned, and applies need only stay `<=` the writes.
+    pub fn drain_and_audit(
+        &self,
+        c: &mut Cluster,
+        dep: &MultiRkv,
+        window: SimTime,
+        full_coverage: bool,
+    ) {
+        let settled = |c: &Cluster| {
+            let s = c.completions();
+            let abandoned = c.counter_total("client.retry.abandoned");
+            let ended = if full_coverage {
+                s.completed()
+            } else {
+                s.completed() + s.shed() + abandoned
+            };
+            (
+                s.issued() == ended,
+                format!(
+                    "issued {} != completed {} + shed {} + abandoned {}: the tail must drain",
+                    s.issued(),
+                    s.completed(),
+                    s.shed(),
+                    abandoned
+                ),
+            )
+        };
+        c.run_for(window);
+        for _ in 0..16 {
+            if settled(c).0 {
+                break;
+            }
+            c.run_for(window);
+        }
+        let mut report = c.audit();
+        let (drained, detail) = settled(c);
+        report.check("clients.drained", CLUSTER_WIDE, drained, || detail);
+        let mut writes = vec![0u64; dep.groups.len()];
+        for l in &self.ledgers {
+            for (g, n) in l.borrow().iter().enumerate() {
+                writes[g] += n;
+            }
+        }
+        audit_multi_rkv_exactly_once(
+            c.obs().registry(),
+            dep,
+            &writes,
+            full_coverage && drained,
+            &mut report,
+        );
+        report.assert_clean();
     }
 }
 
@@ -146,102 +315,15 @@ pub struct ScaleStats {
 /// Run the scale scenario described by `spec`; hand back the cluster so
 /// callers can pull canonical merged exports.
 pub fn run_rkv_scale(spec: &ScaleSpec) -> (ScaleStats, Cluster) {
-    let mut c = Cluster::builder(CN2350)
-        .servers(spec.servers)
-        .clients(spec.clients)
-        .mode(RuntimeMode::IPipe)
-        .seed(spec.seed)
-        .shards(spec.shards)
-        .build();
-    let stats = drive_rkv_scale(&mut c, spec);
-    (stats, c)
-}
-
-/// [`run_rkv_scale`] returning the canonical merged export — the byte
-/// string that must be identical whatever the shard count.
-pub fn run_rkv_scale_sharded(seed: u64, shards: usize, smoke: bool) -> (ScaleStats, String) {
-    let spec = if smoke {
-        ScaleSpec::smoke(seed, shards)
-    } else {
-        ScaleSpec::planetary(seed, shards)
-    };
-    let (stats, c) = run_rkv_scale(&spec);
-    (stats, c.export_canonical_jsonl())
+    run(spec)
 }
 
 /// Everything after cluster construction: deploy the groups, install the
 /// aggregated open-loop clients, rebalance on a fixed cadence, drain, and
 /// audit.
 pub fn drive_rkv_scale(c: &mut Cluster, spec: &ScaleSpec) -> ScaleStats {
-    let dep = deploy_multi_rkv(
-        c,
-        &MultiRkvCfg {
-            groups: spec.groups,
-            replicas: spec.replicas,
-            server_nodes: spec.servers,
-            buckets: spec.buckets,
-            memtable_flush: 8 << 20,
-            heartbeat: None,
-            seed: spec.seed,
-        },
-    );
-    let stream = AggKvStream::new(
-        spec.seed ^ 0xA66,
-        spec.users_per_client,
-        spec.keys,
-        spec.skew,
-        spec.read_ratio,
-        spec.value_len,
-    );
-    // Per-client routing-table copies (refreshed from Redirects) and
-    // per-group write ledgers (summed for the exactly-once audit).
-    let mut ledgers: Vec<Rc<RefCell<Vec<u64>>>> = Vec::new();
-    for cl in 0..spec.clients {
-        let table = Rc::new(RefCell::new(dep.table.clone()));
-        let ledger = Rc::new(RefCell::new(vec![0u64; spec.groups]));
-        ledgers.push(ledger.clone());
-        let gen_table = table.clone();
-        c.set_client_open_loop(
-            cl,
-            Box::new(move |rng, token| {
-                let op = stream.op_for(token);
-                let t = gen_table.borrow();
-                let g = t.group_of(op.key());
-                if !op.is_read() {
-                    ledger.borrow_mut()[g as usize] += 1;
-                }
-                ClientReq {
-                    dst: t.leader_of(g),
-                    wire_size: 42 + op.wire_size(),
-                    flow: rng.below(1 << 20),
-                    payload: Some(Box::new(RkvMsg::Client(op))),
-                }
-            }),
-            OpenLoopCfg {
-                rate_rps: aggregate_rate(spec.users_per_client, spec.per_user_rps),
-                until: spec.run,
-            },
-        );
-        // Token-pure retransmission: the payload rebuilds from the stream,
-        // the destination comes from the (possibly refreshed) retry slot.
-        c.set_client_retry(
-            cl,
-            RetryPolicy {
-                timeout: SimTime::from_us(500),
-                cap: SimTime::from_ms(2),
-                max_tries: 64,
-            },
-            Some(Box::new(move |token| {
-                Some(Box::new(RkvMsg::Client(stream.op_for(token))))
-            })),
-        );
-        c.set_client_route_refresh(
-            cl,
-            Box::new(move |old, new| {
-                table.borrow_mut().refresh(old, new);
-            }),
-        );
-    }
+    let dep = spec.deploy(c);
+    let clients = OpenLoopClients::install(c, spec, &dep);
     // Arrival window, with rebalance observations on a fixed cadence. The
     // ops counters are shard-invariant at run_for boundaries, so the move
     // decisions — and therefore the whole event stream — replay identically
@@ -254,46 +336,10 @@ pub fn drive_rkv_scale(c: &mut Cluster, spec: &ScaleSpec) -> ScaleStats {
         elapsed += step;
         reb.step(c, &dep);
     }
-    // Drain the in-flight tail. A straggler can sit behind several capped
-    // retry backoffs, so grant extra windows until the completion ledger
-    // balances — the loop condition reads shard-invariant counts at
-    // `run_for` barriers, so the total duration (and with it the event
-    // stream) is identical at any shard count.
-    c.run_for(spec.drain);
-    for _ in 0..16 {
-        let s = c.completions();
-        if s.issued() == s.completed() {
-            break;
-        }
-        c.run_for(spec.drain);
-    }
-    // Quiesce-time checks: cluster-wide conservation, a fully drained tail,
-    // and per-group exactly-once across every shard move.
-    let mut report = c.audit();
+    // Quiesce: a fully drained tail and per-group exactly-once across
+    // every shard move.
+    clients.drain_and_audit(c, &dep, spec.drain, true);
     let stats = c.completions();
-    let drained = stats.issued() == stats.completed();
-    report.check(
-        "scale.drained",
-        ipipe_sim::audit::CLUSTER_WIDE,
-        drained,
-        || {
-            format!(
-                "issued {} != completed {}: the tail must drain",
-                stats.issued(),
-                stats.completed()
-            )
-        },
-    );
-    let mut writes = vec![0u64; spec.groups];
-    for l in &ledgers {
-        for (g, n) in l.borrow().iter().enumerate() {
-            writes[g] += n;
-        }
-    }
-    let mut rkv_report = AuditReport::new(c.now());
-    audit_multi_rkv_exactly_once(c.obs().registry(), &dep, &writes, drained, &mut rkv_report);
-    report.merge(rkv_report);
-    report.assert_clean();
     let wall = c.now().as_secs_f64();
     ScaleStats {
         groups: spec.groups,
@@ -305,6 +351,48 @@ pub fn drive_rkv_scale(c: &mut Cluster, spec: &ScaleSpec) -> ScaleStats {
         p99_us: stats.p99().as_us_f64(),
         migrations: reb.moves,
         events: c.shard_events().iter().sum(),
+    }
+}
+
+impl Scenario for ScaleSpec {
+    type Stats = ScaleStats;
+    const NAME: &'static str = "rkv-scale";
+    const SEED: u64 = 64;
+    const RATE_KEY: &'static str = "scale";
+    const JSON_SHARDS: &'static [usize] = &[2, 4, 8];
+
+    fn smoke(seed: u64, shards: usize) -> ScaleSpec {
+        ScaleSpec::smoke(seed, shards)
+    }
+
+    fn full(seed: u64, shards: usize) -> ScaleSpec {
+        ScaleSpec::planetary(seed, shards)
+    }
+
+    fn build(&self, _: &Obs) -> Cluster {
+        self.cluster()
+    }
+
+    fn drive(&self, c: &mut Cluster) -> ScaleStats {
+        drive_rkv_scale(c, self)
+    }
+
+    fn summary(&self, s: &ScaleStats) -> Option<String> {
+        Some(format!(
+            "rkv-scale: {} groups, {} users: {} requests committed of {} issued, \
+             {:.0} req/s, p50 {:.1}us p99 {:.1}us, {} hot-shard migrations",
+            s.groups, s.users, s.done, s.issued, s.throughput_rps, s.p50_us, s.p99_us, s.migrations
+        ))
+    }
+
+    fn bench_fields(&self, s: &ScaleStats) -> String {
+        format!(
+            concat!(
+                "\"groups\":{},\"users\":{},\"issued\":{},\"done\":{},\"migrations\":{},",
+                "\"throughput_rps\":{:.0},\"p50_us\":{:.1},\"p99_us\":{:.1}"
+            ),
+            s.groups, s.users, s.issued, s.done, s.migrations, s.throughput_rps, s.p50_us, s.p99_us
+        )
     }
 }
 
@@ -329,15 +417,5 @@ mod tests {
         // the rebalancer must start at least one shard move.
         let (stats, _c) = run_rkv_scale(&ScaleSpec::smoke(7, 1));
         assert!(stats.migrations > 0, "no hot shard moved");
-    }
-
-    #[test]
-    fn smoke_exports_are_byte_identical_across_shard_counts() {
-        let (s1, e1) = run_rkv_scale_sharded(21, 1, true);
-        let (s2, e2) = run_rkv_scale_sharded(21, 2, true);
-        assert_eq!(s1.issued, s2.issued);
-        assert_eq!(s1.done, s2.done);
-        assert_eq!(s1.migrations, s2.migrations);
-        assert_eq!(e1, e2, "sharded export diverged from serial");
     }
 }

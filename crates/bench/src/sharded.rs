@@ -1,6 +1,6 @@
-//! Whole-cluster scenarios for the sharded (conservative-lookahead) DES:
-//! the fig16-style grid behind the sharded differential cases and the
-//! `pardesbench` microbenchmark topology.
+//! The `pod` scenario for the sharded (conservative-lookahead) DES: the
+//! 64-node pod of `bench --scenario pod` (`BENCH_pardes.json`) and, at smoke
+//! size, the 20-node fig16-style grid behind the sharded differential case.
 //!
 //! The grid is deliberately closer to a datacenter pod than the 4-node RKV
 //! scenario: tens of server nodes grouped into racks, several closed-loop
@@ -13,9 +13,12 @@
 use ipipe::prelude::*;
 use ipipe::rt::ClientReq;
 use ipipe_nicsim::CN2350;
+use ipipe_sim::obs::Obs;
 use ipipe_sim::rng::ServiceDist;
 use ipipe_sim::DetRng;
 use ipipe_workload::service::{fig16_distribution, Dispersion, Fig16Card};
+
+use crate::scenario::Scenario;
 
 /// Server actor whose handler cost is drawn per-request from a service-time
 /// distribution via an actor-owned deterministic stream. The stream is
@@ -52,6 +55,12 @@ pub struct GridSpec {
     pub racks: Option<(usize, SimTime)>,
     /// Per-request service-time distribution.
     pub dist: ServiceDist,
+    /// Simulated window of one run.
+    pub run: SimTime,
+    /// When inside the window the conservation audit sweeps the cluster;
+    /// the sweep must leave no trace in what follows. The committed pod
+    /// skips it: the audit's own counters would enter its export.
+    pub audit_at: Option<SimTime>,
 }
 
 impl GridSpec {
@@ -68,10 +77,12 @@ impl GridSpec {
             parallel,
             racks: Some((5, SimTime::from_us(1))),
             dist: fig16_distribution(Fig16Card::LiquidIo, Dispersion::High),
+            run: SimTime::from_ms(5),
+            audit_at: Some(SimTime::from_ms(3)),
         }
     }
 
-    /// The `pardesbench` topology: a 64-node pod (32 servers + 32 clients)
+    /// The committed pod: a 64-node pod (32 servers + 32 clients)
     /// in eight 8-node racks with a 10 µs cross-rack extra (a mid-range
     /// inter-rack one-way delay). Splitting nodes evenly between server and
     /// client racks matters for the parallelism claim: node ids are
@@ -88,8 +99,26 @@ impl GridSpec {
             parallel,
             racks: Some((8, SimTime::from_us(10))),
             dist: fig16_distribution(Fig16Card::LiquidIo, Dispersion::High),
+            run: SimTime::from_ms(20),
+            audit_at: None,
         }
     }
+
+    /// Racks the nodes group into (1 when unracked).
+    fn rack_count(&self) -> usize {
+        let nodes = self.servers + self.clients;
+        self.racks
+            .map_or(1, |(per_rack, _)| nodes.div_ceil(per_rack))
+    }
+}
+
+/// Headline numbers from one grid run.
+#[derive(Debug, Clone, Copy)]
+pub struct GridStats {
+    /// Requests completed.
+    pub done: u64,
+    /// Events processed across all shards.
+    pub events: u64,
 }
 
 /// Build the cluster for `spec`: one distribution-driven actor per server,
@@ -134,16 +163,71 @@ pub fn build_grid(spec: &GridSpec) -> Cluster {
     c
 }
 
-/// Run the fig16-style grid for the differential oracle: drive it through a
-/// mid-run audit (the sweep must stay invisible under sharding too), finish
-/// the run, and return the completion count plus the canonical merged
-/// export.
-pub fn run_fig16_grid(seed: u64, shards: usize, parallel: bool) -> (u64, String) {
-    let mut c = build_grid(&GridSpec::fig16(seed, shards, parallel));
-    c.run_for(SimTime::from_ms(3));
-    c.audit().assert_clean();
-    c.run_for(SimTime::from_ms(2));
-    (c.completions().count(), c.export_canonical_jsonl())
+impl Scenario for GridSpec {
+    type Stats = GridStats;
+    const NAME: &'static str = "pod";
+    const SEED: u64 = 64;
+    const RATE_KEY: &'static str = "serial";
+    const JSON_SHARDS: &'static [usize] = &[2, 4, 8];
+
+    fn smoke(seed: u64, shards: usize) -> GridSpec {
+        GridSpec::fig16(seed, shards, false)
+    }
+
+    /// Sharded pods run their epochs on OS threads.
+    fn full(seed: u64, shards: usize) -> GridSpec {
+        GridSpec::pod64(seed, shards, shards > 1)
+    }
+
+    fn threaded(self) -> GridSpec {
+        GridSpec {
+            parallel: true,
+            ..self
+        }
+    }
+
+    fn build(&self, _: &Obs) -> Cluster {
+        build_grid(self)
+    }
+
+    fn drive(&self, c: &mut Cluster) -> GridStats {
+        match self.audit_at {
+            Some(at) => {
+                c.run_for(at);
+                c.audit().assert_clean();
+                c.run_for(self.run - at);
+            }
+            None => c.run_for(self.run),
+        }
+        GridStats {
+            done: c.completions().count(),
+            events: c.shard_events().iter().sum(),
+        }
+    }
+
+    fn summary(&self, s: &GridStats) -> Option<String> {
+        Some(format!(
+            "pod: {} servers + {} clients in {} racks: {} requests completed over {:.0}ms, \
+             {} events",
+            self.servers,
+            self.clients,
+            self.rack_count(),
+            s.done,
+            self.run.as_secs_f64() * 1e3,
+            s.events
+        ))
+    }
+
+    fn bench_fields(&self, s: &GridStats) -> String {
+        format!(
+            "\"nodes\":{},\"racks\":{},\"sim_ms\":{:.0},\"events\":{},\"completed\":{}",
+            self.servers + self.clients,
+            self.rack_count(),
+            self.run.as_secs_f64() * 1e3,
+            s.events,
+            s.done
+        )
+    }
 }
 
 #[cfg(test)]
@@ -152,9 +236,9 @@ mod tests {
 
     #[test]
     fn grid_runs_and_completes_work() {
-        let (done, export) = run_fig16_grid(11, 1, false);
-        assert!(done > 500, "done={done}");
-        assert!(export.lines().count() > 50);
+        let (stats, c) = crate::scenario::run(&GridSpec::fig16(11, 1, false));
+        assert!(stats.done > 500, "done={}", stats.done);
+        assert!(c.export_canonical_jsonl().lines().count() > 50);
     }
 
     #[test]

@@ -8,13 +8,14 @@
 //! and is exposed to loss. The single knob that matters is
 //! [`TcpOffloadSpec::placement`]: `Placement::Host` runs the protocol work
 //! on big host cores (the status quo the paper argues against),
-//! `Placement::Nic` moves it onto the wimpy NIC cores. `tcpbench` sweeps
-//! both against ≥2 loss rates and reports the host-cores-freed vs
-//! NIC-cores-burned tradeoff (`BENCH_tcp.json`).
+//! `Placement::Nic` moves it onto the wimpy NIC cores. The committed figure
+//! (`bench --scenario tcp-offload --json`, `BENCH_tcp.json`) sweeps both
+//! against two loss rates and reports the host-cores-freed vs
+//! NIC-cores-burned tradeoff.
 //!
 //! Like every scenario, the run is byte-identical for any shard count: the
 //! drive loop reads only shard-invariant counters at `run_for` barriers,
-//! and `diff_sharded_tcp` pins serial vs sharded canonical exports.
+//! and the shard differential pins serial vs sharded canonical exports.
 //! Quiesce merges the cluster-wide conservation audit with the per-
 //! connection TCP slice (`bytes_sent == bytes_acked + bytes_in_flight +
 //! bytes_dropped_pending_rto`, exactly-once in-order delivery).
@@ -23,7 +24,13 @@ use ipipe::rt::{Cluster, Placement, RuntimeMode};
 use ipipe::tcp::{audit_tcp_into, deploy_tcp_pair, TcpCfg, TcpEndpoints};
 use ipipe_netsim::FaultPlan;
 use ipipe_nicsim::CN2350;
+use ipipe_sim::obs::Obs;
 use ipipe_sim::SimTime;
+
+use crate::scenario::{run, Scenario};
+
+/// The two loss rates of the committed figure.
+const FIGURE_LOSS: [f64; 2] = [0.01, 0.05];
 
 /// Parameters of one TCP-offload run.
 #[derive(Debug, Clone, Copy)]
@@ -126,27 +133,7 @@ pub struct TcpOffloadStats {
 
 /// Run the scenario; hand back the cluster for canonical exports.
 pub fn run_tcp_offload(spec: &TcpOffloadSpec) -> (TcpOffloadStats, Cluster) {
-    let mut c = Cluster::builder(CN2350)
-        .servers(spec.servers())
-        .clients(1)
-        .mode(RuntimeMode::IPipe)
-        .seed(spec.seed)
-        .shards(spec.shards)
-        .build();
-    let stats = drive_tcp_offload(&mut c, spec);
-    (stats, c)
-}
-
-/// [`run_tcp_offload`] returning the canonical merged export — the byte
-/// string that must be identical whatever the shard count.
-pub fn run_tcp_offload_sharded(seed: u64, shards: usize, smoke: bool) -> (TcpOffloadStats, String) {
-    let spec = if smoke {
-        TcpOffloadSpec::smoke(seed, shards)
-    } else {
-        TcpOffloadSpec::full(seed, shards)
-    };
-    let (stats, c) = run_tcp_offload(&spec);
-    (stats, c.export_canonical_jsonl())
+    run(spec)
 }
 
 /// Everything after cluster construction: install the loss plan, deploy
@@ -216,6 +203,105 @@ pub fn drive_tcp_offload(c: &mut Cluster, spec: &TcpOffloadSpec) -> TcpOffloadSt
     }
 }
 
+impl Scenario for TcpOffloadSpec {
+    type Stats = TcpOffloadStats;
+    const NAME: &'static str = "tcp-offload";
+    const SEED: u64 = 77;
+    const RATE_KEY: &'static str = "tcp";
+    const JSON_SHARDS: &'static [usize] = &[2, 4];
+
+    fn smoke(seed: u64, shards: usize) -> TcpOffloadSpec {
+        TcpOffloadSpec::smoke(seed, shards)
+    }
+
+    fn full(seed: u64, shards: usize) -> TcpOffloadSpec {
+        TcpOffloadSpec::full(seed, shards)
+    }
+
+    /// The figure times its low-loss NIC-placed cell.
+    fn bench_reference(self) -> TcpOffloadSpec {
+        TcpOffloadSpec {
+            loss: FIGURE_LOSS[0],
+            ..self
+        }
+    }
+
+    fn build(&self, _: &Obs) -> Cluster {
+        Cluster::builder(CN2350)
+            .servers(self.servers())
+            .clients(1)
+            .mode(RuntimeMode::IPipe)
+            .seed(self.seed)
+            .shards(self.shards)
+            .build()
+    }
+
+    fn drive(&self, c: &mut Cluster) -> TcpOffloadStats {
+        drive_tcp_offload(c, self)
+    }
+
+    fn summary(&self, s: &TcpOffloadStats) -> Option<String> {
+        Some(format!(
+            "tcp-offload: {} conns x {} bytes at {:.0}% loss ({} placement): \
+             {} bytes delivered in {:.2}ms ({:.2} Gbit/s), {} segments retransmitted \
+             over {} RTOs, {:.3} host cores vs {:.3} NIC cores",
+            s.conns,
+            s.bytes_per_conn,
+            s.loss * 100.0,
+            s.placement,
+            s.delivered,
+            s.fct_ms,
+            s.goodput_gbps,
+            s.retx_segs,
+            s.rto_fired,
+            s.host_cores,
+            s.nic_cores
+        ))
+    }
+
+    /// The placement x loss grid — the host-cores-freed vs NIC-cores-burned
+    /// tradeoff — each cell asserted to deliver its full streams.
+    fn bench_fields(&self, s: &TcpOffloadStats) -> String {
+        let mut cells = Vec::new();
+        for loss in FIGURE_LOSS {
+            for placement in [Placement::Host, Placement::Nic] {
+                let (cell, _) = run(&TcpOffloadSpec {
+                    loss,
+                    placement,
+                    ..*self
+                });
+                assert_eq!(
+                    cell.delivered,
+                    cell.conns as u64 * cell.bytes_per_conn,
+                    "every cell must deliver its full streams"
+                );
+                cells.push(format!(
+                    concat!(
+                        "{{\"placement\":\"{}\",\"loss\":{},\"host_cores\":{:.4},",
+                        "\"nic_cores\":{:.4},\"fct_ms\":{:.3},\"goodput_gbps\":{:.3},",
+                        "\"retx_segs\":{},\"rto_fired\":{}}}"
+                    ),
+                    cell.placement,
+                    loss,
+                    cell.host_cores,
+                    cell.nic_cores,
+                    cell.fct_ms,
+                    cell.goodput_gbps,
+                    cell.retx_segs,
+                    cell.rto_fired,
+                ));
+            }
+        }
+        format!(
+            "\"conns\":{},\"bytes_per_conn\":{},\"delivered\":{},\"cells\":[{}]",
+            s.conns,
+            s.bytes_per_conn,
+            s.delivered,
+            cells.join(",")
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,8 +350,15 @@ mod tests {
 
     #[test]
     fn sharded_smoke_is_byte_identical() {
-        let (_, serial) = run_tcp_offload_sharded(11, 1, true);
-        let (_, sharded) = run_tcp_offload_sharded(11, 2, true);
-        assert_eq!(serial, sharded, "2-shard run must merge byte-identically");
+        let export = |shards| {
+            run_tcp_offload(&TcpOffloadSpec::smoke(11, shards))
+                .1
+                .export_canonical_jsonl()
+        };
+        assert_eq!(
+            export(1),
+            export(2),
+            "2-shard run must merge byte-identically"
+        );
     }
 }

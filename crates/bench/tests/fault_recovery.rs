@@ -3,19 +3,20 @@
 //! detector alone, commits every client write exactly once, and two
 //! same-seed runs export byte-identical metrics and traces.
 
-use ipipe_bench::fault::{run_rkv_fault, FaultRunStats, OUTSTANDING};
+use ipipe_bench::fault::{FaultRunStats, FaultSpec, OUTSTANDING};
+use ipipe_bench::scenario::run_traced;
 use ipipe_sim::obs::{Obs, TraceLevel};
 
 fn faulted_run(seed: u64) -> (FaultRunStats, String, String) {
     let obs = Obs::with_level(TraceLevel::Spans);
-    let stats = run_rkv_fault(seed, &obs);
+    let (stats, _) = run_traced(&FaultSpec::new(seed, 1), &obs);
     (stats, obs.export_jsonl(), obs.export_chrome())
 }
 
 #[test]
 fn rkv_recovers_from_leader_crash_without_operator_signal() {
     let obs = Obs::with_level(TraceLevel::Spans);
-    let stats = run_rkv_fault(7, &obs);
+    let (stats, _) = run_traced(&FaultSpec::new(7, 1), &obs);
     assert!(
         stats.before_crash > 500,
         "pre-crash throughput with 1% loss: {}",

@@ -20,88 +20,36 @@ echo "==> cargo doc --no-deps --workspace (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # Hard perf-regression gates: desbench wheel throughput vs BENCH_des.json,
-# the planetary scale scenario's events/s vs BENCH_scale.json, the
-# overload spike scenario's events/s vs BENCH_overload.json, the
-# tcp-offload scenario's events/s vs BENCH_tcp.json, and the full
-# design-space grid's cells/s vs BENCH_dse.json.
+# the serial events/s of the rkv-scale, rkv-overload and tcp-offload
+# scenarios vs BENCH_{scale,overload,tcp}.json, and the full design-space
+# grid's cells/s vs BENCH_dse.json.
 echo "==> perf gates (baselines BENCH_des.json, BENCH_scale.json, BENCH_overload.json, BENCH_tcp.json, BENCH_dse.json)"
 ./scripts/perf_gate.sh
 
-# Sharded-DES determinism: two same-seed 8-shard pod runs must write
-# byte-identical canonical exports.
-echo "==> pardesbench determinism (8 shards, same seed twice)"
-cargo run --release -q -p ipipe-bench --bin pardesbench -- --export /tmp/pardes_a.jsonl --shards 8
-cargo run --release -q -p ipipe-bench --bin pardesbench -- --export /tmp/pardes_b.jsonl --shards 8
-diff /tmp/pardes_a.jsonl /tmp/pardes_b.jsonl
-echo "pardesbench exports are byte-identical"
+# Scenario smoke (mirrors the CI scenario-smoke matrix): every scenario at
+# its smoke size must export byte-identically for the same seed twice and
+# under every listed shard count. Entries: <scenario> <seed> <shards...>.
+for entry in "rkv 2 1 3" "rkv-fault 7 1" "rkv-scale 11 4 1" "rkv-overload 11 4 1" \
+    "tcp-offload 11 1 4" "pod 64 8 1"; do
+    echo "==> scenario smoke: $entry"
+    # shellcheck disable=SC2086 # word-splitting the entry is the point
+    ./scripts/scenario_smoke.sh $entry
+done
+grep -q '"fault.drop.loss"' /tmp/scenario-smoke/rkv-fault/a/metrics.jsonl
+grep -q '"fault.drop.node"' /tmp/scenario-smoke/rkv-fault/a/metrics.jsonl
 
-# Multi-group scale smoke (mirrors the CI scale-smoke job): the reduced
-# rkv-scale scenario must run audit-clean, two same-seed 4-shard runs must
-# export byte-identically, and the serial run must match the sharded one.
-echo "==> rkv-scale smoke (16 groups, 1e5 users; determinism + shard invariance)"
-cargo run --release -q -p ipipe-bench --bin traceview -- \
-    --scenario rkv-scale --groups 16 --users 100000 --seed 11 \
-    --shards 4 --out /tmp/scale_a > /tmp/scale_summary_a.txt
-cargo run --release -q -p ipipe-bench --bin traceview -- \
-    --scenario rkv-scale --groups 16 --users 100000 --seed 11 \
-    --shards 4 --out /tmp/scale_b > /tmp/scale_summary_b.txt
-diff -u /tmp/scale_summary_a.txt /tmp/scale_summary_b.txt
-diff -r /tmp/scale_a /tmp/scale_b
-cargo run --release -q -p ipipe-bench --bin traceview -- \
-    --scenario rkv-scale --groups 16 --users 100000 --seed 11 \
-    --shards 1 --out /tmp/scale_serial > /tmp/scale_summary_serial.txt
-diff -u /tmp/scale_summary_serial.txt /tmp/scale_summary_a.txt
-diff -r /tmp/scale_serial /tmp/scale_a
-echo "rkv-scale exports are byte-identical (same seed twice, 1 vs 4 shards)"
+# The committed pod: threaded 2/4/8-shard exports must byte-match serial.
+echo "==> pod figure (threaded shards vs serial byte-diff)"
+cargo run --release -q -p ipipe-bench --bin bench -- --scenario pod --json > /dev/null
 
-# Overload smoke (mirrors the CI overload-smoke job): the reduced
-# rkv-overload scenario (10x spike + compaction storm + ingress admission)
-# must run audit-clean with its SLO held, two same-seed 4-shard runs must
-# export byte-identically, and the serial run must match the sharded one.
-echo "==> rkv-overload smoke (16 groups, 1e5 users; determinism + shard invariance)"
-cargo run --release -q -p ipipe-bench --bin traceview -- \
-    --scenario rkv-overload --groups 16 --users 100000 --seed 11 \
-    --shards 4 --out /tmp/overload_a > /tmp/overload_summary_a.txt
-cargo run --release -q -p ipipe-bench --bin traceview -- \
-    --scenario rkv-overload --groups 16 --users 100000 --seed 11 \
-    --shards 4 --out /tmp/overload_b > /tmp/overload_summary_b.txt
-diff -u /tmp/overload_summary_a.txt /tmp/overload_summary_b.txt
-diff -r /tmp/overload_a /tmp/overload_b
-cargo run --release -q -p ipipe-bench --bin traceview -- \
-    --scenario rkv-overload --groups 16 --users 100000 --seed 11 \
-    --shards 1 --out /tmp/overload_serial > /tmp/overload_summary_serial.txt
-diff -u /tmp/overload_summary_serial.txt /tmp/overload_summary_a.txt
-diff -r /tmp/overload_serial /tmp/overload_a
-echo "rkv-overload exports are byte-identical (same seed twice, 1 vs 4 shards)"
-
-# Shed-conservation property sweep (mirrors the CI overload-smoke job).
-echo "==> shed-conservation proptests"
+# The scenarios' property sweeps and suites (mirror the CI matrix checks).
+echo "==> fault recovery, shed-conservation and tcp exactly-once delivery tests"
+cargo test -q --release -p ipipe-bench --test fault_recovery
 cargo test -q --release --test properties overload_shed
-
-# TCP offload smoke (mirrors the CI tcp-smoke job): the tcp-offload
-# scenario must run audit-clean (byte conservation + exactly-once in-order
-# delivery), two same-seed runs must export byte-identically, and the
-# serial run must match the 4-shard one.
-echo "==> tcp-offload smoke (determinism + shard invariance)"
-cargo run --release -q -p ipipe-bench --bin traceview -- \
-    --scenario tcp-offload --seed 11 --out /tmp/tcp_a > /tmp/tcp_summary_a.txt
-cargo run --release -q -p ipipe-bench --bin traceview -- \
-    --scenario tcp-offload --seed 11 --out /tmp/tcp_b > /tmp/tcp_summary_b.txt
-diff -u /tmp/tcp_summary_a.txt /tmp/tcp_summary_b.txt
-diff -r /tmp/tcp_a /tmp/tcp_b
-cargo run --release -q -p ipipe-bench --bin traceview -- \
-    --scenario tcp-offload --seed 11 --shards 4 \
-    --out /tmp/tcp_sharded > /tmp/tcp_summary_sharded.txt
-diff -u /tmp/tcp_summary_a.txt /tmp/tcp_summary_sharded.txt
-diff -r /tmp/tcp_a /tmp/tcp_sharded
-echo "tcp-offload exports are byte-identical (same seed twice, 1 vs 4 shards)"
-
-# TCP delivery property sweep (mirrors the CI tcp-smoke job).
-echo "==> tcp exactly-once delivery proptests"
 cargo test -q --release --test properties tcp_delivery
 
 # The benchmark's drive loops must stay byte-identical to the library's
-# scenario drivers (mirrors the CI tcp-smoke job).
+# scenario drivers (mirrors the CI tcp-offload matrix entry).
 echo "==> perfbench faithfulness tests"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 

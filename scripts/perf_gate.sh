@@ -2,19 +2,18 @@
 # Perf-regression gates: measured throughput must stay within 30% of the
 # committed baselines.
 #
-#   * desbench   — timing-wheel microbenchmark events/s vs BENCH_des.json
-#   * scalebench — planetary rkv-scale scenario events/s vs BENCH_scale.json
-#   * shedbench  — rkv-overload spike scenario events/s vs BENCH_overload.json
-#   * tcpbench   — tcp-offload scenario events/s vs BENCH_tcp.json
-#   * dse        — full design-space grid cells/s vs BENCH_dse.json
+#   * desbench — timing-wheel microbenchmark events/s vs BENCH_des.json
+#   * bench    — serial events/s of each gated scenario (`bench --scenario
+#                <name> --json`) vs its BENCH_*.json: rkv-scale,
+#                rkv-overload, tcp-offload
+#   * dse      — full design-space grid cells/s vs BENCH_dse.json
 #
 # The baselines are machine-dependent; regenerate them on the reference
 # machine whenever the hardware or a workload definition changes:
-#   cargo run --release -p ipipe-bench --bin desbench   > BENCH_des.json
-#   cargo run --release -p ipipe-bench --bin scalebench > BENCH_scale.json
-#   cargo run --release -p ipipe-bench --bin shedbench  > BENCH_overload.json
-#   cargo run --release -p ipipe-bench --bin tcpbench   > BENCH_tcp.json
-#   cargo run --release -p ipipe-bench --bin dse        > BENCH_dse.json
+#   cargo run --release -p ipipe-bench --bin desbench > BENCH_des.json
+#   cargo run --release -p ipipe-bench --bin bench -- --scenario rkv-scale --json > BENCH_scale.json
+#   (likewise rkv-overload > BENCH_overload.json, tcp-offload > BENCH_tcp.json)
+#   cargo run --release -p ipipe-bench --bin dse > BENCH_dse.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,17 +44,14 @@ out=$(cargo run --release -q -p ipipe-bench --bin desbench)
 echo "$out"
 gate "wheel" "wheel" BENCH_des.json "$out"
 
-out=$(cargo run --release -q -p ipipe-bench --bin scalebench)
-echo "$out"
-gate "scale" "scale" BENCH_scale.json "$out"
-
-out=$(cargo run --release -q -p ipipe-bench --bin shedbench)
-echo "$out"
-gate "overload" "overload" BENCH_overload.json "$out"
-
-out=$(cargo run --release -q -p ipipe-bench --bin tcpbench)
-echo "$out"
-gate "tcp" "tcp" BENCH_tcp.json "$out"
+# <scenario>:<json object>:<baseline file>
+for entry in rkv-scale:scale:BENCH_scale.json rkv-overload:overload:BENCH_overload.json \
+    tcp-offload:tcp:BENCH_tcp.json; do
+    IFS=: read -r scenario object basefile <<< "$entry"
+    out=$(cargo run --release -q -p ipipe-bench --bin bench -- --scenario "$scenario" --json)
+    echo "$out"
+    gate "$object" "$object" "$basefile" "$out"
+done
 
 out=$(cargo run --release -q -p ipipe-bench --bin dse)
 echo "$out"
