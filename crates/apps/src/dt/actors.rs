@@ -324,12 +324,13 @@ mod tests {
     use ipipe_nicsim::CN2350;
     use ipipe_workload::txn::TxnWorkload;
 
-    #[test]
-    fn transactions_commit_end_to_end() {
+    /// A coordinator and two participants under 16 outstanding
+    /// transactions, run for 15 ms.
+    fn txn_cluster(seed: u64) -> Cluster {
         let mut c = Cluster::builder(CN2350)
             .servers(3)
             .clients(1)
-            .seed(0xD7)
+            .seed(seed)
             .build();
         let dep = deploy_dt(&mut c, 0, &[1, 2], 1 << 20);
         let coord = dep.coordinator;
@@ -348,11 +349,29 @@ mod tests {
             16,
         );
         c.run_for(SimTime::from_ms(15));
+        c
+    }
+
+    #[test]
+    fn transactions_commit_end_to_end() {
+        let c = txn_cluster(0xD7);
         let done = c.completions().count();
         assert!(done > 500, "done={done}");
         // Round trips: 3 protocol phases over the network keep latency well
         // above a single hop.
         assert!(c.completions().mean() > SimTime::from_us(10));
+    }
+
+    /// The coordinator's fan-outs go out in participant order, not in a
+    /// per-process hash order, so two runs in one process export the same
+    /// bytes.
+    #[test]
+    fn same_seed_runs_export_identically() {
+        let run = || txn_cluster(0xD7).export_canonical_jsonl();
+        assert!(
+            run() == run(),
+            "two same-seed runs exported different bytes"
+        );
     }
 
     #[test]

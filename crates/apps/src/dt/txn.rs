@@ -12,7 +12,7 @@
 //! tests.
 
 use super::store::ExtHashTable;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Key type (matches the workload generator).
 pub const KEY_LEN: usize = 16;
@@ -181,9 +181,6 @@ pub enum Step {
 
 struct TxnState {
     phase: TxnPhase,
-    /// Read-set partitioning, retained for retry/diagnostic paths.
-    #[allow(dead_code)]
-    reads: Vec<(PartIdx, Vec<Key>)>,
     writes: Vec<(PartIdx, WriteSet)>,
     pending: usize,
     read_results: Vec<(Key, Vec<u8>, u64)>,
@@ -238,14 +235,14 @@ impl Coordinator {
         reads: Vec<Key>,
         writes: Vec<(Key, Vec<u8>)>,
     ) -> Vec<(PartIdx, DtMsg)> {
-        let mut by_part_r: HashMap<PartIdx, Vec<Key>> = HashMap::new();
+        let mut by_part_r: BTreeMap<PartIdx, Vec<Key>> = BTreeMap::new();
         for k in reads {
             by_part_r
                 .entry(partition(&k, self.parts))
                 .or_default()
                 .push(k);
         }
-        let mut by_part_w: HashMap<PartIdx, Vec<(Key, Vec<u8>)>> = HashMap::new();
+        let mut by_part_w: BTreeMap<PartIdx, Vec<(Key, Vec<u8>)>> = BTreeMap::new();
         for (k, v) in writes {
             by_part_w
                 .entry(partition(&k, self.parts))
@@ -262,7 +259,7 @@ impl Coordinator {
                     p,
                     DtMsg::ReadAndLock {
                         txid,
-                        reads: by_part_r.get(&p).cloned().unwrap_or_default(),
+                        reads: by_part_r.remove(&p).unwrap_or_default(),
                         writes: by_part_w
                             .get(&p)
                             .map(|ws| ws.iter().map(|(k, _)| *k).collect())
@@ -275,7 +272,6 @@ impl Coordinator {
             txid,
             TxnState {
                 phase: TxnPhase::ReadLock,
-                reads: by_part_r.into_iter().collect(),
                 writes: by_part_w.into_iter().collect(),
                 pending: msgs.len(),
                 read_results: Vec::new(),
@@ -329,7 +325,7 @@ impl Coordinator {
                 }
                 // Phase 2: validate read versions with a second read.
                 st.phase = TxnPhase::Validate;
-                let mut by_part: HashMap<PartIdx, Vec<(Key, u64)>> = HashMap::new();
+                let mut by_part: BTreeMap<PartIdx, Vec<(Key, u64)>> = BTreeMap::new();
                 for (k, _, ver) in &st.read_results {
                     by_part
                         .entry(partition(k, self.parts))

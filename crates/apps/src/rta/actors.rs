@@ -318,15 +318,17 @@ pub fn deploy_rta(c: &mut Cluster, worker_nodes: &[usize]) -> RtaDeployment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipipe::rt::ClientReq;
+    use ipipe::rt::{ClientReq, RuntimeMode};
     use ipipe_nicsim::CN2350;
     use ipipe_workload::rta::RtaWorkload;
 
-    #[test]
-    fn pipeline_processes_tuple_batches() {
+    /// Three filter/counter/ranker chains under 16 outstanding tuple
+    /// batches, run for 10 ms.
+    fn rta_cluster(mode: RuntimeMode) -> Cluster {
         let mut c = Cluster::builder(CN2350)
             .servers(3)
             .clients(1)
+            .mode(mode)
             .seed(0x27A)
             .build();
         let dep = deploy_rta(&mut c, &[0, 1, 2]);
@@ -349,7 +351,24 @@ mod tests {
             16,
         );
         c.run_for(SimTime::from_ms(10));
-        let done = c.completions().count();
+        c
+    }
+
+    #[test]
+    fn pipeline_processes_tuple_batches() {
+        let done = rta_cluster(RuntimeMode::IPipe).completions().count();
         assert!(done > 1_000, "done={done}");
+    }
+
+    /// Rankers break count ties by topic, not by per-process hash order, so
+    /// two runs in one process export the same bytes. Host-placed rankers
+    /// are the ones whose tie order shows in the export.
+    #[test]
+    fn same_seed_runs_export_identically() {
+        let run = || rta_cluster(RuntimeMode::HostDpdk).export_canonical_jsonl();
+        assert!(
+            run() == run(),
+            "two same-seed runs exported different bytes"
+        );
     }
 }

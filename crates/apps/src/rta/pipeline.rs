@@ -3,7 +3,7 @@
 
 use super::regex::Regex;
 use ipipe_workload::rta::Tuple;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// The filter worker: "applies a pattern matching module to discard
 /// uninteresting data tuples". Stateless (paper: "Filter actor is a
@@ -95,7 +95,7 @@ impl Counter {
 
     /// Distinct topics currently tracked.
     pub fn tracked_topics(&self) -> usize {
-        let mut set: std::collections::HashSet<u32> = std::collections::HashSet::new();
+        let mut set: HashSet<u32> = HashSet::new();
         for s in &self.slots {
             set.extend(s.keys().copied());
         }
@@ -106,10 +106,11 @@ impl Counter {
 /// The ranker worker: sorts incoming (topic, count) tuples with quicksort
 /// and keeps the top-n ("ranker performs quicksort to order tuples" —
 /// the quicksort is the heavyweight operation that gets the ranker migrated
-/// under load).
+/// under load). Entries are kept in topic order, so count ties sort, and
+/// are truncated, the same way on every run.
 pub struct Ranker {
     n: usize,
-    entries: HashMap<u32, u64>,
+    entries: BTreeMap<u32, u64>,
 }
 
 /// In-place quicksort by descending count (the paper names the algorithm,
@@ -146,7 +147,7 @@ impl Ranker {
         assert!(n >= 1);
         Ranker {
             n,
-            entries: HashMap::new(),
+            entries: BTreeMap::new(),
         }
     }
 
@@ -157,13 +158,8 @@ impl Ranker {
         // Periodically shrink to bounded state: keep 4n entries.
         if self.entries.len() > self.n * 4 {
             let top = self.top();
-            let keep: std::collections::HashSet<u32> = top.iter().map(|(t, _)| *t).collect();
-            let mut trimmed: HashMap<u32, u64> = self
-                .entries
-                .drain()
-                .filter(|(t, _)| keep.contains(t))
-                .collect();
-            std::mem::swap(&mut self.entries, &mut trimmed);
+            let keep: HashSet<u32> = top.iter().map(|(t, _)| *t).collect();
+            self.entries.retain(|t, _| keep.contains(t));
         }
         self.entries.len()
     }

@@ -15,10 +15,12 @@
 //! Only `rkv` and `rkv-fault` trace (`--verbose`: per-request records too);
 //! the high-volume scenarios run metrics-only.
 //!
-//! `--json` prints the figure instead: a warmup, the timed serial run and
-//! timed shard re-runs asserted to export its bytes (`--shards` does not
-//! apply). `--seed` defaults to the seed of the scenario's committed
-//! `BENCH_*.json`.
+//! `--json` prints the figure instead: the serial run's fields and shard
+//! re-runs asserted to export its bytes. Every field is deterministic, so
+//! the output byte-matches the committed `BENCH_<scenario>.json`; host time
+//! is measured only by `perfbench`. `--shards`, `--out` and `--verbose` do
+//! not apply to `--json` and are rejected with it. `--seed` defaults to the
+//! seed of the scenario's committed record.
 
 use ipipe::rt::Cluster;
 use ipipe_bench::render_table;
@@ -31,7 +33,7 @@ struct Opts {
     scenario: String,
     smoke: bool,
     seed: Option<u64>,
-    shards: usize,
+    shards: Option<usize>,
     out: Option<String>,
     verbose: bool,
     json: bool,
@@ -50,7 +52,7 @@ fn parse_opts() -> Opts {
         scenario: "rkv".into(),
         smoke: false,
         seed: None,
-        shards: 1,
+        shards: None,
         out: None,
         verbose: false,
         json: false,
@@ -68,10 +70,12 @@ fn parse_opts() -> Opts {
                 )
             }
             "--shards" => {
-                opts.shards = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--shards needs an integer >= 1")
+                opts.shards = Some(
+                    args.next()
+                        .and_then(|s| s.parse().ok())
+                        .filter(|&n| n >= 1)
+                        .expect("--shards needs an integer >= 1"),
+                )
             }
             "--out" => opts.out = Some(args.next().expect("--out needs a directory")),
             "--verbose" => opts.verbose = true,
@@ -83,7 +87,13 @@ fn parse_opts() -> Opts {
             other => panic!("unknown argument {other:?}\n{}", usage()),
         }
     }
-    assert!(opts.shards >= 1, "--shards needs an integer >= 1");
+    if opts.json && (opts.shards.is_some() || opts.out.is_some() || opts.verbose) {
+        eprintln!(
+            "--shards, --out and --verbose do not apply to --json\n{}",
+            usage()
+        );
+        std::process::exit(2);
+    }
     opts
 }
 
@@ -94,10 +104,11 @@ impl Visit for &Opts {
             println!("{}", bench_json::<S>(seed, self.smoke));
             return;
         }
+        let shards = self.shards.unwrap_or(1);
         let spec = if self.smoke {
-            S::smoke(seed, self.shards)
+            S::smoke(seed, shards)
         } else {
-            S::full(seed, self.shards)
+            S::full(seed, shards)
         };
         let level = if self.verbose {
             TraceLevel::Verbose

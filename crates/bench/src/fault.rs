@@ -84,7 +84,6 @@ impl Scenario for FaultSpec {
     type Stats = FaultRunStats;
     const NAME: &'static str = "rkv-fault";
     const SEED: u64 = 2;
-    const RATE_KEY: &'static str = "fault";
     const JSON_SHARDS: &'static [usize] = &[2, 4, 8];
 
     fn full(seed: u64, shards: usize) -> FaultSpec {

@@ -1,5 +1,5 @@
 //! The SLO-aware overload scenario behind `bench --scenario rkv-overload`,
-//! its committed figure (`BENCH_overload.json`) and the CI smoke matrix:
+//! its committed figure (`BENCH_rkv-overload.json`) and the CI smoke matrix:
 //! the multi-group RKV keyspace under a 10x open-loop traffic spike while
 //! an LSM-compaction storm competes for the wimpy cores, survived by the
 //! NIC-ingress admission controller.
@@ -235,7 +235,6 @@ impl Scenario for OverloadSpec {
     type Stats = OverloadStats;
     const NAME: &'static str = "rkv-overload";
     const SEED: u64 = 88;
-    const RATE_KEY: &'static str = "overload";
     const JSON_SHARDS: &'static [usize] = &[2, 4];
 
     fn smoke(seed: u64, shards: usize) -> OverloadSpec {

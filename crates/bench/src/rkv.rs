@@ -26,7 +26,6 @@ impl Scenario for RkvSpec {
     type Stats = u64;
     const NAME: &'static str = "rkv";
     const SEED: u64 = 2;
-    const RATE_KEY: &'static str = "rkv";
     const JSON_SHARDS: &'static [usize] = &[2, 4, 8];
 
     fn full(seed: u64, shards: usize) -> RkvSpec {

@@ -1,7 +1,7 @@
 //! The planetary-scale scenario behind `bench --scenario rkv-scale`, its
-//! committed figure (`BENCH_scale.json`) and the CI smoke matrix: a ≥64-group
-//! multi-Paxos keyspace serving the aggregated open-loop traffic of a
-//! million-plus modeled users, with hotspot-driven rebalancing.
+//! committed figure (`BENCH_rkv-scale.json`) and the CI smoke matrix: a
+//! ≥64-group multi-Paxos keyspace serving the aggregated open-loop traffic
+//! of a million-plus modeled users, with hotspot-driven rebalancing.
 //!
 //! Everything the multi-group layer claims is checked here end to end:
 //!
@@ -358,7 +358,6 @@ impl Scenario for ScaleSpec {
     type Stats = ScaleStats;
     const NAME: &'static str = "rkv-scale";
     const SEED: u64 = 64;
-    const RATE_KEY: &'static str = "scale";
     const JSON_SHARDS: &'static [usize] = &[2, 4, 8];
 
     fn smoke(seed: u64, shards: usize) -> ScaleSpec {

@@ -8,9 +8,12 @@
 //! result as a one-line summary and as bench-JSON fields. Adding a
 //! scenario is one impl plus one [`visit`] arm.
 //!
+//! The bench-JSON figure ([`bench_json`]) is exact: every field is a
+//! function of the seed, so the committed `BENCH_<scenario>.json` records
+//! are byte-diffed, not compared within a tolerance. Host time is measured
+//! only by `perfbench`, as the median of repeated runs.
+//!
 //! [`diff_sharded`]: crate::differential::diff_sharded
-
-use std::time::Instant;
 
 use ipipe::rt::Cluster;
 use ipipe_sim::obs::Obs;
@@ -31,9 +34,6 @@ pub trait Scenario: Sized {
     /// Seed `bench` uses without `--seed`: the one its committed
     /// `BENCH_*.json` was made with.
     const SEED: u64;
-    /// Bench-JSON object carrying `wall_ms`/`events`/`events_per_sec` of
-    /// the serial reference (`scripts/perf_gate.sh` reads it by this key).
-    const RATE_KEY: &'static str;
     /// Shard counts `bench --json` re-runs and byte-diffs against serial.
     const JSON_SHARDS: &'static [usize];
 
@@ -51,7 +51,8 @@ pub trait Scenario: Sized {
             Self::NAME
         )
     }
-    /// The spec `bench --json` times; most figures time the spec itself.
+    /// The spec whose export `bench --json` diffs across shard counts; most
+    /// figures use the spec itself.
     fn bench_reference(self) -> Self {
         self
     }
@@ -86,10 +87,11 @@ pub fn run_traced<S: Scenario>(spec: &S, obs: &Obs) -> (S::Stats, Cluster) {
     (stats, c)
 }
 
-/// The scenario's committed figure as one line of JSON: a warmup, the
-/// timed serial reference, and one timed re-run per [`Scenario::JSON_SHARDS`]
-/// count whose canonical export must byte-match the serial one (a mismatch
-/// panics). Every field except the wall-clock ones is deterministic.
+/// The scenario's committed figure as one line of JSON: the serial
+/// reference's fields and event count, then one re-run per
+/// [`Scenario::JSON_SHARDS`] count whose canonical export must byte-match
+/// the serial one (a mismatch panics). Every field is a function of the
+/// seed, so the committed `BENCH_<scenario>.json` is byte-diffed against it.
 pub fn bench_json<S: Scenario>(seed: u64, smoke: bool) -> String {
     let spec = |shards| {
         let s = if smoke {
@@ -99,23 +101,15 @@ pub fn bench_json<S: Scenario>(seed: u64, smoke: bool) -> String {
         };
         s.bench_reference()
     };
-    let timed = |spec: &S| {
-        let start = Instant::now();
-        let (stats, c) = run(spec);
-        (start.elapsed().as_secs_f64() * 1e3, stats, c)
-    };
-    // Warmup: touch every code path once so allocator and page-cache state
-    // don't bias the serial reference.
-    timed(&spec(1));
     let reference = spec(1);
-    let (serial_ms, stats, c) = timed(&reference);
+    let (stats, c) = run(&reference);
     let export = c.export_canonical_jsonl();
     let events = c.epoch_stats().events;
     drop(c);
     let sharded: Vec<String> = S::JSON_SHARDS
         .iter()
         .map(|&shards| {
-            let (wall_ms, _, c) = timed(&spec(shards));
+            let (_, c) = run(&spec(shards));
             assert!(
                 c.export_canonical_jsonl() == export,
                 "{shards}-shard canonical export diverged from serial"
@@ -123,36 +117,21 @@ pub fn bench_json<S: Scenario>(seed: u64, smoke: bool) -> String {
             let epochs = c.epoch_stats();
             format!(
                 concat!(
-                    "{{\"shards\":{},\"wall_ms\":{:.2},\"events_per_sec\":{:.0},",
-                    "\"wall_speedup\":{:.2},\"critical_path_speedup\":{:.2},",
+                    "{{\"shards\":{},\"critical_path_speedup\":{:.2},",
                     "\"epochs\":{},\"byte_identical\":true}}"
                 ),
                 shards,
-                wall_ms,
-                epochs.events as f64 / (wall_ms / 1e3),
-                serial_ms / wall_ms,
                 epochs.speedup(),
                 epochs.epochs,
             )
         })
         .collect();
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     format!(
-        concat!(
-            "{{\"bench\":\"{}\",\"smoke\":{},\"host_parallelism\":{},{},",
-            "\"{}\":{{\"wall_ms\":{:.2},\"events\":{},\"events_per_sec\":{:.0}}},",
-            "\"sharded\":[{}]}}"
-        ),
+        "{{\"bench\":\"{}\",\"smoke\":{},{},\"events\":{},\"sharded\":[{}]}}",
         S::NAME,
         smoke,
-        host_parallelism,
         reference.bench_fields(&stats),
-        S::RATE_KEY,
-        serial_ms,
         events,
-        events as f64 / (serial_ms / 1e3),
         sharded.join(","),
     )
 }

@@ -1,5 +1,5 @@
 //! The `pod` scenario for the sharded (conservative-lookahead) DES: the
-//! 64-node pod of `bench --scenario pod` (`BENCH_pardes.json`) and, at smoke
+//! 64-node pod of `bench --scenario pod` (`BENCH_pod.json`) and, at smoke
 //! size, the 20-node fig16-style grid behind the sharded differential case.
 //!
 //! The grid is deliberately closer to a datacenter pod than the 4-node RKV
@@ -167,7 +167,6 @@ impl Scenario for GridSpec {
     type Stats = GridStats;
     const NAME: &'static str = "pod";
     const SEED: u64 = 64;
-    const RATE_KEY: &'static str = "serial";
     const JSON_SHARDS: &'static [usize] = &[2, 4, 8];
 
     fn smoke(seed: u64, shards: usize) -> GridSpec {
@@ -220,11 +219,10 @@ impl Scenario for GridSpec {
 
     fn bench_fields(&self, s: &GridStats) -> String {
         format!(
-            "\"nodes\":{},\"racks\":{},\"sim_ms\":{:.0},\"events\":{},\"completed\":{}",
+            "\"nodes\":{},\"racks\":{},\"sim_ms\":{:.0},\"completed\":{}",
             self.servers + self.clients,
             self.rack_count(),
             self.run.as_secs_f64() * 1e3,
-            s.events,
             s.done
         )
     }

@@ -8,9 +8,9 @@
 //! and is exposed to loss. The single knob that matters is
 //! [`TcpOffloadSpec::placement`]: `Placement::Host` runs the protocol work
 //! on big host cores (the status quo the paper argues against),
-//! `Placement::Nic` moves it onto the wimpy NIC cores. The committed figure
-//! (`bench --scenario tcp-offload --json`, `BENCH_tcp.json`) sweeps both
-//! against two loss rates and reports the host-cores-freed vs
+//! `Placement::Nic` moves it onto the wimpy NIC cores. The committed
+//! figure (`bench --scenario tcp-offload --json`, `BENCH_tcp-offload.json`)
+//! sweeps both against two loss rates and reports the host-cores-freed vs
 //! NIC-cores-burned tradeoff.
 //!
 //! Like every scenario, the run is byte-identical for any shard count: the
@@ -207,7 +207,6 @@ impl Scenario for TcpOffloadSpec {
     type Stats = TcpOffloadStats;
     const NAME: &'static str = "tcp-offload";
     const SEED: u64 = 77;
-    const RATE_KEY: &'static str = "tcp";
     const JSON_SHARDS: &'static [usize] = &[2, 4];
 
     fn smoke(seed: u64, shards: usize) -> TcpOffloadSpec {

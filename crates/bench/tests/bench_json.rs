@@ -1,42 +1,40 @@
-//! `scripts/perf_gate.sh` gates each scenario's serial events/s by grepping
-//! `"<key>":{...}` out of `bench --json` and `"events_per_sec":<n>` out of
-//! that object. Pin that the line keeps that shape for every gated
-//! scenario (at smoke size, so the test stays quick).
+//! `bench --json` is an exact record: CI byte-diffs it against the committed
+//! `BENCH_<scenario>.json`, so it must carry no host-dependent field and
+//! must refuse the options it would otherwise ignore.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-/// The `"key":{...}` object of a one-line bench JSON, as the gate's
-/// `grep -o "\"key\":{[^}]*}"` extracts it.
-fn object<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let start = line.find(&format!("\"{key}\":{{"))?;
-    let end = start + line[start..].find('}')?;
-    Some(&line[start..=end])
+use ipipe_bench::scenario::NAMES;
+
+fn bench(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_bench"))
+        .args(args)
+        .output()
+        .expect("run bench")
 }
 
 #[test]
-fn gated_scenarios_report_events_per_sec() {
-    for (scenario, key) in [
-        ("rkv-scale", "scale"),
-        ("rkv-overload", "overload"),
-        ("tcp-offload", "tcp"),
-    ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_bench"))
-            .args(["--scenario", scenario, "--smoke", "--json"])
-            .output()
-            .expect("run bench");
-        assert!(out.status.success(), "bench --scenario {scenario} failed");
-        let line = String::from_utf8(out.stdout).expect("utf-8 output");
+fn json_is_byte_identical_across_runs() {
+    for scenario in NAMES {
+        let args = ["--scenario", scenario, "--smoke", "--json"];
+        // The two runs are independent processes; run them side by side.
+        let (a, b) = std::thread::scope(|s| {
+            let b = s.spawn(|| bench(&args));
+            (bench(&args), b.join().expect("bench thread"))
+        });
+        assert!(a.status.success() && b.status.success(), "{args:?} failed");
+        let line = String::from_utf8(a.stdout).expect("utf-8 output");
         assert_eq!(line.lines().count(), 1, "one line of JSON: {line}");
-        let obj = object(&line, key).unwrap_or_else(|| panic!("no \"{key}\" object: {line}"));
-        let rate = obj
-            .split("\"events_per_sec\":")
-            .nth(1)
-            .unwrap_or_else(|| panic!("no events_per_sec in {obj}"));
-        let digits: String = rate
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect();
-        let eps: f64 = digits.parse().expect("numeric events_per_sec");
-        assert!(eps > 0.0, "{scenario}: events_per_sec {eps}");
+        assert_eq!(line.as_bytes(), b.stdout, "{scenario}: two runs differ");
     }
+}
+
+#[test]
+fn json_rejects_options_it_would_ignore() {
+    let out = bench(&["--scenario", "pod", "--smoke", "--json", "--shards", "2"]);
+    assert!(!out.status.success(), "--json --shards 2 must fail");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("usage: bench"),
+        "the failure prints the usage message"
+    );
 }

@@ -475,8 +475,8 @@ impl<E> EventQueue<E> {
 
 /// The previous `BinaryHeap`-backed event queue, kept as a **reference
 /// implementation**: differential property tests replay arbitrary operation
-/// sequences against it, and `desbench` uses it as the baseline the timing
-/// wheel is measured against. Semantics are identical to [`EventQueue`].
+/// sequences against it, and the queue-kind differential runs whole
+/// scenarios on it. Semantics are identical to [`EventQueue`].
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<SpillEntry<E>>,
     seq: u64,
